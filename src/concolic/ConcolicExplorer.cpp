@@ -33,7 +33,7 @@ std::string pathSignature(const std::vector<PathEntry> &Entries) {
   std::string Sig;
   for (const PathEntry &E : Entries) {
     Sig += E.Taken ? '+' : '-';
-    Sig += printBoolTerm(E.Condition);
+    appendBoolTerm(Sig, E.Condition);
     Sig += ';';
   }
   return Sig;
@@ -119,8 +119,9 @@ ExplorationResult ConcolicExplorer::run(ExplorationResult Seed) {
   ExplorationResult Result = std::move(Seed);
   Result.Builder = std::make_unique<TermBuilder>();
   // A quarter-megabyte heap comfortably fits every materialisation of an
-  // exploration (objects are bounded by MaxObjectSlots) while keeping
-  // per-instruction setup cost low (Figure 6 measures this).
+  // exploration (objects are bounded by MaxObjectSlots). Its storage is
+  // not zero-filled, so setup costs the bytes an exploration allocates,
+  // not the capacity (Figure 6 measures this).
   Result.Memory = std::make_unique<ObjectMemory>(256 * 1024);
 
   if (Opts.InjectHeapCorruption)

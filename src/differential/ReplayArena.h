@@ -8,10 +8,10 @@
 /// Owns the mutable state one replay worker reuses from path to path: a
 /// VM heap rolled back between paths via high-watermark reset plus an
 /// undo journal (vm/ObjectMemory.h), and a pooled simulator stack
-/// re-zeroed to its dirty watermark (jit/MachineSim.h). Replaying a
-/// path used to build — and zero-fill — a fresh 1 MiB heap and a fresh
-/// 64 KiB stack; with an arena the per-path cost is proportional to the
-/// bytes the path actually touched.
+/// re-zeroed to its dirty watermark (jit/MachineSim.h). Without an
+/// arena, replaying a path builds a fresh 1 MiB heap (an uninitialised
+/// allocation) and a fresh, zero-filled 64 KiB stack; with an arena the
+/// per-path cost is proportional to the bytes the path actually touched.
 ///
 /// The reset contract makes a pooled heap observably identical to a
 /// fresh one (allocation sequence, identity hashes, class indices,
@@ -44,7 +44,7 @@ struct ReplayStats {
   std::uint64_t HeapResets = 0;       ///< handouts that rolled back state
   std::uint64_t HeapBytesReset = 0;   ///< bytes released by rollbacks
   std::uint64_t HeapFreshBuilds = 0;  ///< throwaway heaps built (arena off)
-  std::uint64_t HeapBytesRebuilt = 0; ///< bytes zero-filled by those builds
+  std::uint64_t HeapBytesRebuilt = 0; ///< their capacity, not bytes written
   std::uint64_t UndoStoresReplayed = 0; ///< journalled stores undone
   std::uint64_t StackBytesReset = 0;  ///< pooled stack bytes re-zeroed
   void add(const ReplayStats &O) {

@@ -1099,7 +1099,8 @@ CampaignSummary CampaignRunner::run() {
         Event.Value = Inc.Attempt;
         Publish(std::move(Event));
       }
-      appendLine(Opts.IncidentLogPath, Inc.toJson());
+      if (!Opts.IncidentLogPath.empty())
+        appendLine(Opts.IncidentLogPath, Inc.toJson());
       Summary.Incidents.push_back(std::move(Inc));
     }
     if (S.Rec.Quarantined && Observing) {
@@ -1114,17 +1115,21 @@ CampaignSummary CampaignRunner::run() {
     if (S.Rec.Quarantined)
       Summary.Quarantined.push_back(S.Rec.Instruction);
     Summary.LiveSolver.add(S.Rec.Solver);
-    std::string Line = S.Rec.toJson();
     // Only clean records enter the store: a record that needed
     // containment (or was quarantined) must re-run on the next campaign
     // so its incidents are reproduced alongside it — serving the record
     // without the incidents would break incident-file identity.
-    if (Store && !S.Rec.Quarantined && S.Incidents.empty()) {
-      Store->put(resultStoreKey(*Work[I].Spec, ConfigFp), S.Rec.Instruction,
-                 Line);
-      ++Summary.StoreStores;
+    const bool Storing = Store && !S.Rec.Quarantined && S.Incidents.empty();
+    // The record's line is built only for a consumer that reads it.
+    if (Storing || !Opts.CheckpointPath.empty()) {
+      std::string Line = S.Rec.toJson();
+      if (Storing) {
+        Store->put(resultStoreKey(*Work[I].Spec, ConfigFp), S.Rec.Instruction,
+                   Line);
+        ++Summary.StoreStores;
+      }
+      appendLine(Opts.CheckpointPath, Line);
     }
-    appendLine(Opts.CheckpointPath, std::move(Line));
     Summary.Records.push_back(std::move(S.Rec));
     return true;
   };

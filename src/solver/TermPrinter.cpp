@@ -5,216 +5,305 @@
 #include "support/Compiler.h"
 #include "support/StringUtils.h"
 
+#include <charconv>
+
 using namespace igdt;
 
-std::string igdt::printObjTerm(const ObjTerm *T) {
+// Every printer appends into one string: a path signature renders every
+// node of every condition on every explored path, so per-node temporaries
+// would dominate its cost.
+
+namespace {
+
+void appendTerm(std::string &Out, const ObjTerm *T);
+void appendTerm(std::string &Out, const IntTerm *T);
+void appendTerm(std::string &Out, const FloatTerm *T);
+void appendTerm(std::string &Out, const BoolTerm *T);
+
+template <typename IntT> void appendDecimal(std::string &Out, IntT Value) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr);
+}
+
+void appendHex(std::string &Out, std::uint64_t Value) {
+  char Buf[16];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value, 16).ptr);
+}
+
+/// Appends "Fn(Arg)".
+template <typename TermT>
+void appendCall(std::string &Out, const char *Fn, const TermT *Arg) {
+  Out += Fn;
+  Out += '(';
+  appendTerm(Out, Arg);
+  Out += ')';
+}
+
+/// Appends "Fn(Arg, Offset)".
+void appendCall(std::string &Out, const char *Fn, const ObjTerm *Arg,
+                std::int64_t Offset) {
+  Out += Fn;
+  Out += '(';
+  appendTerm(Out, Arg);
+  Out += ", ";
+  appendDecimal(Out, Offset);
+  Out += ')';
+}
+
+/// Appends "Lhs Op Rhs".
+template <typename TermT>
+void appendInfix(std::string &Out, const TermT *Lhs, const char *Op,
+                 const TermT *Rhs) {
+  appendTerm(Out, Lhs);
+  Out += ' ';
+  Out += Op;
+  Out += ' ';
+  appendTerm(Out, Rhs);
+}
+
+/// Appends "(Lhs Op Rhs)".
+template <typename TermT>
+void appendBinary(std::string &Out, const TermT *T, const char *Op) {
+  Out += '(';
+  appendInfix(Out, T->Lhs, Op, T->Rhs);
+  Out += ')';
+}
+
+const char *cmpOperator(CmpPred Pred) {
+  return Pred == CmpPred::Lt ? "<" : Pred == CmpPred::Le ? "<=" : "==";
+}
+
+void appendTerm(std::string &Out, const ObjTerm *T) {
   switch (T->TermKind) {
   case ObjTerm::Kind::Var:
     switch (T->Role) {
     case VarRole::Receiver:
-      return "receiver";
+      Out += "receiver";
+      return;
     case VarRole::StackSlot:
-      return formatString("s%d", T->Index);
+      Out += 's';
+      appendDecimal(Out, T->Index);
+      return;
     case VarRole::Local:
-      return formatString("t%d", T->Index);
+      Out += 't';
+      appendDecimal(Out, T->Index);
+      return;
     case VarRole::SlotOf:
-      return formatString("%s.slot%d", printObjTerm(T->Parent).c_str(),
-                          T->Index);
+      appendTerm(Out, T->Parent);
+      Out += ".slot";
+      appendDecimal(Out, T->Index);
+      return;
     }
     igdt_unreachable("unhandled var role");
   case ObjTerm::Kind::Const:
-    if (isSmallIntOop(T->ConstValue))
-      return formatString("%lld", (long long)smallIntValue(T->ConstValue));
-    return formatString("const@%llx", (unsigned long long)T->ConstValue);
+    if (isSmallIntOop(T->ConstValue)) {
+      appendDecimal(Out, smallIntValue(T->ConstValue));
+    } else {
+      Out += "const@";
+      appendHex(Out, T->ConstValue);
+    }
+    return;
   case ObjTerm::Kind::IntObj:
-    return formatString("intObject(%s)", printIntTerm(T->IntPayload).c_str());
+    return appendCall(Out, "intObject", T->IntPayload);
   case ObjTerm::Kind::FloatObj:
-    return formatString("floatObject(%s)",
-                        printFloatTerm(T->FloatPayload).c_str());
+    return appendCall(Out, "floatObject", T->FloatPayload);
   case ObjTerm::Kind::NewObj:
-    return formatString("new%u(class=%u)", T->AllocId, T->AllocClass);
+    Out += "new";
+    appendDecimal(Out, T->AllocId);
+    Out += "(class=";
+    appendDecimal(Out, T->AllocClass);
+    Out += ')';
+    return;
   }
   igdt_unreachable("unhandled obj term kind");
 }
 
-std::string igdt::printIntTerm(const IntTerm *T) {
-  auto Bin = [&](const char *Op) {
-    return formatString("(%s %s %s)", printIntTerm(T->Lhs).c_str(), Op,
-                        printIntTerm(T->Rhs).c_str());
-  };
+void appendTerm(std::string &Out, const IntTerm *T) {
   switch (T->TermKind) {
   case IntTerm::Kind::Const:
-    return formatString("%lld", (long long)T->ConstValue);
+    appendDecimal(Out, T->ConstValue);
+    return;
   case IntTerm::Kind::ValueOf:
-    return printObjTerm(T->Obj);
+    return appendTerm(Out, T->Obj);
   case IntTerm::Kind::UncheckedValueOf:
-    return formatString("rawInt(%s)", printObjTerm(T->Obj).c_str());
+    return appendCall(Out, "rawInt", T->Obj);
   case IntTerm::Kind::SlotCount:
-    return formatString("slotCount(%s)", printObjTerm(T->Obj).c_str());
+    return appendCall(Out, "slotCount", T->Obj);
   case IntTerm::Kind::StackSize:
-    return "operand_stack_size";
+    Out += "operand_stack_size";
+    return;
   case IntTerm::Kind::ByteAt:
-    return formatString("byteAt(%s, %lld)", printObjTerm(T->Obj).c_str(),
-                        (long long)T->Aux);
+    return appendCall(Out, "byteAt", T->Obj, T->Aux);
   case IntTerm::Kind::LoadLE:
-    return formatString("load%s%u(%s, %lld)", T->SignExtend ? "Int" : "UInt",
-                        T->Width * 8, printObjTerm(T->Obj).c_str(),
-                        (long long)T->Aux);
+    Out += T->SignExtend ? "loadInt" : "loadUInt";
+    appendDecimal(Out, T->Width * 8);
+    return appendCall(Out, "", T->Obj, T->Aux);
   case IntTerm::Kind::ClassIndexOf:
-    return formatString("classIndexOf(%s)", printObjTerm(T->Obj).c_str());
+    return appendCall(Out, "classIndexOf", T->Obj);
   case IntTerm::Kind::IdentityHash:
-    return formatString("identityHash(%s)", printObjTerm(T->Obj).c_str());
+    return appendCall(Out, "identityHash", T->Obj);
   case IntTerm::Kind::Add:
-    return Bin("+");
+    return appendBinary(Out, T, "+");
   case IntTerm::Kind::Sub:
-    return Bin("-");
+    return appendBinary(Out, T, "-");
   case IntTerm::Kind::Mul:
-    return Bin("*");
+    return appendBinary(Out, T, "*");
   case IntTerm::Kind::Quo:
-    return Bin("quo");
+    return appendBinary(Out, T, "quo");
   case IntTerm::Kind::DivFloor:
-    return Bin("//");
+    return appendBinary(Out, T, "//");
   case IntTerm::Kind::ModFloor:
-    return Bin("\\\\");
+    return appendBinary(Out, T, "\\\\");
   case IntTerm::Kind::Neg:
-    return formatString("(- %s)", printIntTerm(T->Lhs).c_str());
+    Out += "(- ";
+    appendTerm(Out, T->Lhs);
+    Out += ')';
+    return;
   case IntTerm::Kind::BitAnd:
-    return Bin("bitAnd");
+    return appendBinary(Out, T, "bitAnd");
   case IntTerm::Kind::BitOr:
-    return Bin("bitOr");
+    return appendBinary(Out, T, "bitOr");
   case IntTerm::Kind::BitXor:
-    return Bin("bitXor");
+    return appendBinary(Out, T, "bitXor");
   case IntTerm::Kind::Shl:
-    return Bin("<<");
+    return appendBinary(Out, T, "<<");
   case IntTerm::Kind::Asr:
-    return Bin(">>");
+    return appendBinary(Out, T, ">>");
   case IntTerm::Kind::HighBit:
-    return formatString("highBit(%s)", printIntTerm(T->Lhs).c_str());
+    return appendCall(Out, "highBit", T->Lhs);
   case IntTerm::Kind::TruncF:
-    return formatString("truncated(%s)",
-                        printFloatTerm(T->FloatOperand).c_str());
+    return appendCall(Out, "truncated", T->FloatOperand);
   }
   igdt_unreachable("unhandled int term kind");
 }
 
-std::string igdt::printFloatTerm(const FloatTerm *T) {
-  auto Bin = [&](const char *Op) {
-    return formatString("(%s %s %s)", printFloatTerm(T->Lhs).c_str(), Op,
-                        printFloatTerm(T->Rhs).c_str());
-  };
-  auto Un = [&](const char *Fn) {
-    return formatString("%s(%s)", Fn, printFloatTerm(T->Lhs).c_str());
-  };
+void appendTerm(std::string &Out, const FloatTerm *T) {
   switch (T->TermKind) {
   case FloatTerm::Kind::Const:
-    return formatString("%g", T->ConstValue);
+    Out += formatString("%g", T->ConstValue);
+    return;
   case FloatTerm::Kind::ValueOf:
-    return formatString("floatValue(%s)", printObjTerm(T->Obj).c_str());
+    return appendCall(Out, "floatValue", T->Obj);
   case FloatTerm::Kind::UncheckedValueOf:
-    return formatString("rawFloat(%s)", printObjTerm(T->Obj).c_str());
+    return appendCall(Out, "rawFloat", T->Obj);
   case FloatTerm::Kind::LoadF64:
-    return formatString("loadFloat64(%s, %lld)", printObjTerm(T->Obj).c_str(),
-                        (long long)T->Aux);
+    return appendCall(Out, "loadFloat64", T->Obj, T->Aux);
   case FloatTerm::Kind::LoadF32:
-    return formatString("loadFloat32(%s, %lld)", printObjTerm(T->Obj).c_str(),
-                        (long long)T->Aux);
+    return appendCall(Out, "loadFloat32", T->Obj, T->Aux);
   case FloatTerm::Kind::OfInt:
-    return formatString("asFloat(%s)", printIntTerm(T->IntOperand).c_str());
+    return appendCall(Out, "asFloat", T->IntOperand);
   case FloatTerm::Kind::Add:
-    return Bin("+");
+    return appendBinary(Out, T, "+");
   case FloatTerm::Kind::Sub:
-    return Bin("-");
+    return appendBinary(Out, T, "-");
   case FloatTerm::Kind::Mul:
-    return Bin("*");
+    return appendBinary(Out, T, "*");
   case FloatTerm::Kind::Div:
-    return Bin("/");
+    return appendBinary(Out, T, "/");
   case FloatTerm::Kind::Sqrt:
-    return Un("sqrt");
+    return appendCall(Out, "sqrt", T->Lhs);
   case FloatTerm::Kind::Sin:
-    return Un("sin");
+    return appendCall(Out, "sin", T->Lhs);
   case FloatTerm::Kind::Cos:
-    return Un("cos");
+    return appendCall(Out, "cos", T->Lhs);
   case FloatTerm::Kind::Exp:
-    return Un("exp");
+    return appendCall(Out, "exp", T->Lhs);
   case FloatTerm::Kind::Ln:
-    return Un("ln");
+    return appendCall(Out, "ln", T->Lhs);
   case FloatTerm::Kind::ArcTan:
-    return Un("arcTan");
+    return appendCall(Out, "arcTan", T->Lhs);
   case FloatTerm::Kind::Frac:
-    return Un("fractionPart");
+    return appendCall(Out, "fractionPart", T->Lhs);
   }
   igdt_unreachable("unhandled float term kind");
 }
 
-std::string igdt::printBoolTerm(const BoolTerm *T) {
+void appendTerm(std::string &Out, const BoolTerm *T) {
   switch (T->TermKind) {
   case BoolTerm::Kind::Const:
-    return T->ConstValue ? "true" : "false";
+    Out += T->ConstValue ? "true" : "false";
+    return;
   case BoolTerm::Kind::Not: {
     const BoolTerm *Inner = T->BLhs;
     // Pretty-print negated type predicates the way the paper does:
     // isNotInteger(v) instead of !(isInteger(v)).
     if (Inner->TermKind == BoolTerm::Kind::IsClass &&
         Inner->ClassIndex == SmallIntegerClass)
-      return formatString("isNotInteger(%s)",
-                          printObjTerm(Inner->Obj).c_str());
+      return appendCall(Out, "isNotInteger", Inner->Obj);
     if (Inner->TermKind == BoolTerm::Kind::IsClass &&
         Inner->ClassIndex == BoxedFloatClass)
-      return formatString("isNotFloat(%s)", printObjTerm(Inner->Obj).c_str());
-    return formatString("!(%s)", printBoolTerm(Inner).c_str());
+      return appendCall(Out, "isNotFloat", Inner->Obj);
+    return appendCall(Out, "!", Inner);
   }
   case BoolTerm::Kind::And:
-    return formatString("(%s AND %s)", printBoolTerm(T->BLhs).c_str(),
-                        printBoolTerm(T->BRhs).c_str());
+    Out += '(';
+    appendInfix(Out, T->BLhs, "AND", T->BRhs);
+    Out += ')';
+    return;
   case BoolTerm::Kind::Or:
-    return formatString("(%s OR %s)", printBoolTerm(T->BLhs).c_str(),
-                        printBoolTerm(T->BRhs).c_str());
-  case BoolTerm::Kind::ICmp: {
-    const char *Op = T->Pred == CmpPred::Lt   ? "<"
-                     : T->Pred == CmpPred::Le ? "<="
-                                              : "==";
-    // Overflow range checks print as isInteger(expr).
-    return formatString("%s %s %s", printIntTerm(T->ILhs).c_str(), Op,
-                        printIntTerm(T->IRhs).c_str());
-  }
-  case BoolTerm::Kind::FCmp: {
-    const char *Op = T->Pred == CmpPred::Lt   ? "<"
-                     : T->Pred == CmpPred::Le ? "<="
-                                              : "==";
-    return formatString("%s %s %s", printFloatTerm(T->FLhs).c_str(), Op,
-                        printFloatTerm(T->FRhs).c_str());
-  }
+    Out += '(';
+    appendInfix(Out, T->BLhs, "OR", T->BRhs);
+    Out += ')';
+    return;
+  case BoolTerm::Kind::ICmp:
+    return appendInfix(Out, T->ILhs, cmpOperator(T->Pred), T->IRhs);
+  case BoolTerm::Kind::FCmp:
+    return appendInfix(Out, T->FLhs, cmpOperator(T->Pred), T->FRhs);
   case BoolTerm::Kind::IsClass:
     if (T->ClassIndex == SmallIntegerClass)
-      return formatString("isInteger(%s)", printObjTerm(T->Obj).c_str());
+      return appendCall(Out, "isInteger", T->Obj);
     if (T->ClassIndex == BoxedFloatClass)
-      return formatString("isFloat(%s)", printObjTerm(T->Obj).c_str());
+      return appendCall(Out, "isFloat", T->Obj);
     if (T->ClassIndex == TrueClass)
-      return formatString("isTrue(%s)", printObjTerm(T->Obj).c_str());
+      return appendCall(Out, "isTrue", T->Obj);
     if (T->ClassIndex == FalseClass)
-      return formatString("isFalse(%s)", printObjTerm(T->Obj).c_str());
+      return appendCall(Out, "isFalse", T->Obj);
     if (T->ClassIndex == UndefinedObjectClass)
-      return formatString("isNil(%s)", printObjTerm(T->Obj).c_str());
-    return formatString("classOf(%s) == %u", printObjTerm(T->Obj).c_str(),
-                        T->ClassIndex);
+      return appendCall(Out, "isNil", T->Obj);
+    appendCall(Out, "classOf", T->Obj);
+    Out += " == ";
+    appendDecimal(Out, T->ClassIndex);
+    return;
   case BoolTerm::Kind::HasFormat:
-    return formatString("formatOf(%s) in 0x%x", printObjTerm(T->Obj).c_str(),
-                        T->FormatMask);
+    appendCall(Out, "formatOf", T->Obj);
+    Out += " in 0x";
+    appendHex(Out, T->FormatMask);
+    return;
   case BoolTerm::Kind::ObjEq:
-    return formatString("%s == %s", printObjTerm(T->Obj).c_str(),
-                        printObjTerm(T->ObjRhs).c_str());
+    return appendInfix(Out, T->Obj, "==", T->ObjRhs);
   case BoolTerm::Kind::IntFormatIs:
-    return formatString("formatOfClass(%s) in 0x%x",
-                        printIntTerm(T->ILhs).c_str(), T->FormatMask);
+    appendCall(Out, "formatOfClass", T->ILhs);
+    Out += " in 0x";
+    appendHex(Out, T->FormatMask);
+    return;
   }
   igdt_unreachable("unhandled bool term kind");
 }
 
+template <typename TermT> std::string printTerm(const TermT *T) {
+  std::string Out;
+  appendTerm(Out, T);
+  return Out;
+}
+
+} // namespace
+
+std::string igdt::printObjTerm(const ObjTerm *T) { return printTerm(T); }
+std::string igdt::printIntTerm(const IntTerm *T) { return printTerm(T); }
+std::string igdt::printFloatTerm(const FloatTerm *T) { return printTerm(T); }
+std::string igdt::printBoolTerm(const BoolTerm *T) { return printTerm(T); }
+
+void igdt::appendBoolTerm(std::string &Out, const BoolTerm *T) {
+  appendTerm(Out, T);
+}
+
 std::string igdt::printPathCondition(
     const std::vector<const BoolTerm *> &Path) {
-  std::vector<std::string> Lines;
-  Lines.reserve(Path.size());
-  for (const BoolTerm *T : Path)
-    Lines.push_back(printBoolTerm(T));
-  return joinStrings(Lines, "\n");
+  std::string Out;
+  for (std::size_t I = 0; I < Path.size(); ++I) {
+    if (I)
+      Out += '\n';
+    appendTerm(Out, Path[I]);
+  }
+  return Out;
 }

@@ -25,6 +25,9 @@ std::string printIntTerm(const IntTerm *T);
 std::string printFloatTerm(const FloatTerm *T);
 std::string printBoolTerm(const BoolTerm *T);
 
+/// Appends printBoolTerm(\p T) to \p Out without building a temporary.
+void appendBoolTerm(std::string &Out, const BoolTerm *T);
+
 /// Renders a conjunction of path conditions, one per line.
 std::string printPathCondition(const std::vector<const BoolTerm *> &Path);
 

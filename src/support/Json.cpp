@@ -5,13 +5,15 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 
 using namespace igdt;
 
-std::string igdt::jsonEscape(const std::string &Text) {
-  std::string Out;
-  Out.reserve(Text.size());
+namespace {
+
+/// Appends \p Text, escaped for a JSON string literal, to \p Out.
+void appendEscaped(std::string &Out, const std::string &Text) {
   for (char C : Text) {
     switch (C) {
     case '"':
@@ -36,6 +38,73 @@ std::string igdt::jsonEscape(const std::string &Text) {
         Out += C;
     }
   }
+}
+
+/// Appends a JSON number. Integral values below 9e15 in magnitude (the
+/// common case for counters) print without a fraction, as "%lld" would;
+/// everything else prints as "%.17g" would, which round-trips exactly.
+/// JSON has no NaN or infinity, so those print as null.
+void appendNumber(std::string &Out, double Num) {
+  if (!std::isfinite(Num)) {
+    Out += "null";
+    return;
+  }
+  char Buf[32];
+  std::to_chars_result R =
+      std::floor(Num) == Num && std::abs(Num) < 9e15
+          ? std::to_chars(Buf, Buf + sizeof(Buf), (long long)Num)
+          : std::to_chars(Buf, Buf + sizeof(Buf), Num,
+                          std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
+
+void appendValue(std::string &Out, const JsonValue &V) {
+  switch (V.K) {
+  case JsonValue::Kind::Null:
+    Out += "null";
+    return;
+  case JsonValue::Kind::Bool:
+    Out += V.B ? "true" : "false";
+    return;
+  case JsonValue::Kind::Number:
+    appendNumber(Out, V.Num);
+    return;
+  case JsonValue::Kind::String:
+    Out += '"';
+    appendEscaped(Out, V.Str);
+    Out += '"';
+    return;
+  case JsonValue::Kind::Array:
+    Out += '[';
+    for (std::size_t I = 0; I < V.Arr.size(); ++I) {
+      if (I)
+        Out += ',';
+      appendValue(Out, V.Arr[I]);
+    }
+    Out += ']';
+    return;
+  case JsonValue::Kind::Object:
+    Out += '{';
+    for (std::size_t I = 0; I < V.Obj.size(); ++I) {
+      if (I)
+        Out += ',';
+      Out += '"';
+      appendEscaped(Out, V.Obj[I].first);
+      Out += "\":";
+      appendValue(Out, V.Obj[I].second);
+    }
+    Out += '}';
+    return;
+  }
+  Out += "null";
+}
+
+} // namespace
+
+std::string igdt::jsonEscape(const std::string &Text) {
+  std::string Out;
+  Out.reserve(Text.size());
+  appendEscaped(Out, Text);
   return Out;
 }
 
@@ -108,39 +177,9 @@ bool JsonValue::boolOr(const std::string &Key, bool Default) const {
 }
 
 std::string JsonValue::dump() const {
-  switch (K) {
-  case Kind::Null:
-    return "null";
-  case Kind::Bool:
-    return B ? "true" : "false";
-  case Kind::Number: {
-    // Integers (the common case for counters) print without a fraction.
-    if (std::floor(Num) == Num && std::abs(Num) < 9e15)
-      return formatString("%lld", (long long)Num);
-    return formatString("%.17g", Num);
-  }
-  case Kind::String:
-    return "\"" + jsonEscape(Str) + "\"";
-  case Kind::Array: {
-    std::string Out = "[";
-    for (std::size_t I = 0; I < Arr.size(); ++I) {
-      if (I)
-        Out += ",";
-      Out += Arr[I].dump();
-    }
-    return Out + "]";
-  }
-  case Kind::Object: {
-    std::string Out = "{";
-    for (std::size_t I = 0; I < Obj.size(); ++I) {
-      if (I)
-        Out += ",";
-      Out += "\"" + jsonEscape(Obj[I].first) + "\":" + Obj[I].second.dump();
-    }
-    return Out + "}";
-  }
-  }
-  return "null";
+  std::string Out;
+  appendValue(Out, *this);
+  return Out;
 }
 
 namespace {
@@ -313,13 +352,18 @@ private:
       ++End;
     if (End == Pos)
       return std::nullopt;
-    try {
-      double Num = std::stod(Text.substr(Pos, End - Pos));
-      Pos = End;
-      return JsonValue::number(Num);
-    } catch (...) {
+    // The reader accepts a leading '+', which from_chars does not; the
+    // whole scanned run must be the number.
+    const char *First = Text.data() + Pos;
+    const char *Last = Text.data() + End;
+    if (*First == '+' && Last - First > 1 && First[1] != '-')
+      ++First;
+    double Num = 0;
+    std::from_chars_result R = std::from_chars(First, Last, Num);
+    if (R.ec != std::errc() || R.ptr != Last)
       return std::nullopt;
-    }
+    Pos = End;
+    return JsonValue::number(Num);
   }
 
   const std::string &Text;

@@ -8,14 +8,19 @@
 using namespace igdt;
 
 std::string igdt::formatString(const char *Fmt, ...) {
+  // One pass into a stack buffer covers nearly every call; only longer
+  // output pays a second pass into the sized string.
+  char Buf[256];
   va_list Args;
   va_start(Args, Fmt);
   va_list ArgsCopy;
   va_copy(ArgsCopy, Args);
-  int Needed = std::vsnprintf(nullptr, 0, Fmt, Args);
+  int Needed = std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
   va_end(Args);
   std::string Result;
-  if (Needed > 0) {
+  if (Needed > 0 && static_cast<std::size_t>(Needed) < sizeof(Buf)) {
+    Result.assign(Buf, static_cast<std::size_t>(Needed));
+  } else if (Needed > 0) {
     Result.resize(static_cast<std::size_t>(Needed));
     std::vsnprintf(Result.data(), Result.size() + 1, Fmt, ArgsCopy);
   }

@@ -6,14 +6,19 @@
 #include "support/Compiler.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace igdt;
 
-ObjectMemory::ObjectMemory(std::size_t HeapBytes) : Heap(HeapBytes, 0) {
+ObjectMemory::ObjectMemory(std::size_t HeapBytes)
+    : Heap(std::make_unique_for_overwrite<std::uint8_t[]>(HeapBytes)),
+      HeapSize(HeapBytes) {
   // Reserve the first 16 bytes so that no object sits exactly at HeapBase;
-  // this keeps "address == HeapBase" available as a guard value.
-  NextFree = 16;
+  // this keeps "address == HeapBase" available as a guard value. They are
+  // the only bytes below NextFree that allocation does not write.
+  NextFree = std::min<std::size_t>(16, HeapSize);
+  std::memset(Heap.get(), 0, NextFree);
   NilOop = allocateInstance(UndefinedObjectClass);
   TrueOop = allocateInstance(TrueClass);
   FalseOop = allocateInstance(FalseClass);
@@ -70,7 +75,7 @@ Oop ObjectMemory::allocateInstance(std::uint32_t ClassIndex,
   }
 
   std::size_t Bytes = sizeof(ObjectHeader) + bodyBytes(Header);
-  if (NextFree + Bytes > Heap.size())
+  if (NextFree + Bytes > HeapSize)
     return InvalidOop;
 
   Oop Object = HeapBase + NextFree;

@@ -21,6 +21,7 @@
 #include "vm/Oop.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +56,8 @@ public:
   static constexpr std::uint64_t HeapBase = 0x100000;
 
   explicit ObjectMemory(std::size_t HeapBytes = 4 * 1024 * 1024);
+  ObjectMemory(const ObjectMemory &) = delete;
+  ObjectMemory &operator=(const ObjectMemory &) = delete;
 
   /// \name Well-known objects
   /// @{
@@ -191,7 +194,7 @@ public:
   std::uint64_t undoStoresReplayed() const { return UndoReplayed; }
 
   /// Total heap capacity in bytes.
-  std::size_t capacityBytes() const { return Heap.size(); }
+  std::size_t capacityBytes() const { return HeapSize; }
 
   /// @}
 
@@ -226,7 +229,12 @@ private:
   void journal8(std::size_t Offset);
 
   ClassTable Classes;
-  std::vector<std::uint8_t> Heap;
+  /// Heap storage, deliberately left uninitialised past the reserved
+  /// first 16 bytes: allocation writes every byte it hands out, and
+  /// every raw access is bounded by NextFree, so the tail is never
+  /// observable (the same invariant resetTo() relies on).
+  std::unique_ptr<std::uint8_t[]> Heap;
+  std::size_t HeapSize;
   std::size_t NextFree = 0;
   std::uint32_t NextHash = 0x1000;
   /// Heap offset below which stores are journalled; 0 keeps the journal

@@ -150,4 +150,54 @@ TEST_F(ObjectMemoryTest, DescribeValues) {
             std::string::npos);
 }
 
+/// One object of every format, byte bodies at padded and unpadded sizes.
+void allocateOneOfEachFormat(ObjectMemory &Heap) {
+  ASSERT_NE(Heap.allocateInstance(PointClass), InvalidOop);
+  ASSERT_NE(Heap.allocateInstance(ArrayClass, 3), InvalidOop);
+  ASSERT_NE(Heap.allocateInstance(ByteArrayClass, 5), InvalidOop);
+  ASSERT_NE(Heap.allocateInstance(ByteArrayClass, 16), InvalidOop);
+  ASSERT_NE(Heap.allocateString("abc"), InvalidOop);
+  ASSERT_NE(Heap.allocateFloat(2.5), InvalidOop);
+  ASSERT_NE(Heap.allocateInstance(ArrayClass, 0), InvalidOop);
+}
+
+// The heap's storage is not zero-filled: only the reserved first 16 bytes
+// are zeroed, and every other byte below NextFree is written by the
+// allocation that hands it out. A heap whose every allocated byte was
+// overwritten, reset and re-allocated therefore reads exactly like a fresh
+// one.
+TEST(ObjectMemoryInvariantTest, ReallocatedDirtyHeapReadsLikeFreshHeap) {
+  ObjectMemory Dirty(64 * 1024);
+  HeapMark Construction = Dirty.mark();
+  allocateOneOfEachFormat(Dirty);
+  std::uint64_t End = ObjectMemory::HeapBase + Dirty.usedBytes();
+  for (std::uint64_t A = ObjectMemory::HeapBase; A < End; A += 8)
+    ASSERT_TRUE(Dirty.store64(A, 0xA5A5A5A5A5A5A5A5ull ^ A));
+  for (std::uint64_t A = ObjectMemory::HeapBase + 3; A < End; A += 8)
+    ASSERT_TRUE(Dirty.store8(A, 0x5A));
+  Dirty.resetTo(Construction);
+  allocateOneOfEachFormat(Dirty);
+
+  ObjectMemory Fresh(64 * 1024);
+  allocateOneOfEachFormat(Fresh);
+
+  ASSERT_EQ(Dirty.usedBytes(), Fresh.usedBytes());
+  EXPECT_EQ(Dirty.contentHash(), Fresh.contentHash());
+  End = ObjectMemory::HeapBase + Fresh.usedBytes();
+  for (std::uint64_t A = ObjectMemory::HeapBase; A < End; A += 8)
+    ASSERT_EQ(*Dirty.load64(A), *Fresh.load64(A)) << std::hex << A;
+  for (std::uint64_t A = ObjectMemory::HeapBase; A < End; ++A)
+    ASSERT_EQ(*Dirty.load8(A), *Fresh.load8(A)) << std::hex << A;
+  EXPECT_FALSE(Fresh.load8(End).has_value());
+}
+
+TEST(ObjectMemoryInvariantTest, ReservedBytesOfFreshHeapReadZero) {
+  ObjectMemory Fresh(64 * 1024);
+  EXPECT_EQ(*Fresh.load64(ObjectMemory::HeapBase), 0u);
+  EXPECT_EQ(*Fresh.load64(ObjectMemory::HeapBase + 8), 0u);
+  for (std::uint64_t A = ObjectMemory::HeapBase;
+       A < ObjectMemory::HeapBase + 16; ++A)
+    EXPECT_EQ(*Fresh.load8(A), 0u);
+}
+
 } // namespace
